@@ -24,10 +24,15 @@ test:
 # — which exercises the watchdog/monitor task interplay AND the sharded
 # runtime's parallel epoch paths (shards run on real OS threads; the
 # run-twice property tests execute under -race here) — then the
+# wall-clock benchmark's own tests (its reply oracle and traced-vs-
+# untraced fingerprint equality exercise sim, mve and dsl from outside),
+# one iteration of the ring and scheduler microbenchmarks, and the
 # benchtool smoke runs.
 check: vet fmt-check lint-maps
 	$(GO) test -race ./...
+	cd wallbench && $(GO) test ./...
 	$(GO) test -bench . -benchtime=1x ./internal/ringbuf/...
+	$(GO) test -bench . -benchtime=1x ./internal/sim/
 	$(MAKE) metrics-smoke
 	$(MAKE) perf-smoke
 	$(MAKE) timeline-smoke

@@ -18,6 +18,11 @@ type Engine struct {
 
 	// Applied counts rule firings by rule name, for reporting.
 	Applied map[string]int
+
+	// env is the binding scratch space reused by every rule attempt;
+	// Transform clears it before each one, so a failed attempt's
+	// bindings never reach the next rule.
+	env Env
 }
 
 // NewEngine returns an engine over the given rules. A nil rule set behaves
@@ -26,7 +31,7 @@ func NewEngine(rules *RuleSet) *Engine {
 	if rules == nil {
 		rules = &RuleSet{}
 	}
-	return &Engine{rules: rules, Applied: make(map[string]int)}
+	return &Engine{rules: rules, Applied: make(map[string]int), env: Env{}}
 }
 
 // Rules returns the engine's rule set.
@@ -72,8 +77,9 @@ func (e *Engine) Transform(window []sysabi.Event) (expected []sysabi.Event, cons
 		if len(r.Match) > len(window) {
 			continue
 		}
-		env, ok := matchSeq(r.Match, window[:len(r.Match)])
-		if !ok {
+		env := e.env
+		clear(env)
+		if !matchSeq(r.Match, window[:len(r.Match)], env) {
 			continue
 		}
 		if r.Where != nil {
@@ -94,15 +100,14 @@ func (e *Engine) Transform(window []sysabi.Event) (expected []sysabi.Event, cons
 	return []sysabi.Event{window[0]}, 1, nil
 }
 
-// matchSeq binds the pattern sequence against the events.
-func matchSeq(pats []Pattern, evs []sysabi.Event) (Env, bool) {
-	env := Env{}
+// matchSeq binds the pattern sequence against the events into env.
+func matchSeq(pats []Pattern, evs []sysabi.Event, env Env) bool {
 	for i, p := range pats {
 		if !bindPattern(p, evs[i], env) {
-			return nil, false
+			return false
 		}
 	}
-	return env, true
+	return true
 }
 
 // fieldValues extracts the DSL-visible fields of an event, in the order

@@ -276,3 +276,42 @@ func TestEngineCountContractProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The engine reuses one binding Env across rule attempts. A binding made
+// by an attempt that failed — on a later pattern, or in its where
+// clause — must not be visible to the next rule: reading it is an
+// unbound-variable error, so that rule does not match, exactly as with a
+// fresh Env per attempt.
+func TestEngineScratchEnvDoesNotLeakFailedBindings(t *testing.T) {
+	rs := MustParse(`
+rule "binds-then-fails" { match read(fd, x, n), write(wfd, w, wn) { emit read(fd, x, n); } }
+rule "binds-where-fails" { match read(fd, y, n) where n < 0 { emit read(fd, y, n); } }
+rule "reads-x-in-where" { match read(fd, x, n) where x == "leak" { emit read(fd, "where", 5); } }
+rule "reads-y-in-emit" { match read(fd, y, n) { emit read(fd, y, n); } }
+`)
+	// The parser rejects unbound variables, so unbind x and y from the
+	// last two rules' own patterns by hand: they can then only see a
+	// binding leaked from an earlier attempt.
+	rs.Rules[2].Match[0].Binds[1] = "_"
+	rs.Rules[3].Match[0].Binds[1] = "_"
+	e := NewEngine(rs)
+	window := []sysabi.Event{readEv(3, "leak"), clockEv(1)}
+	for i := 0; i < 2; i++ { // the second pass reuses a dirty Env
+		out, n, fired := e.Transform(window)
+		if fired != nil {
+			t.Fatalf("pass %d: rule %q fired on a stale binding", i, fired.Name)
+		}
+		if n != 1 || len(out) != 1 || string(out[0].Result.Data) != "leak" {
+			t.Fatalf("pass %d: got %d consumed, %v; want the identity transform", i, n, out)
+		}
+	}
+	if e.TotalApplied() != 0 {
+		t.Fatalf("Applied = %v", e.Applied)
+	}
+
+	// The same rules each still see their own bindings.
+	out, _, fired := e.Transform([]sysabi.Event{readEv(3, "leak"), writeEv(4, "ok")})
+	if fired == nil || fired.Name != "binds-then-fails" || string(out[0].Result.Data) != "leak" {
+		t.Fatalf("fired = %v, out = %v", fired, out)
+	}
+}

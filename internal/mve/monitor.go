@@ -1171,7 +1171,11 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 				for i := range expected {
 					expected[i].Seq = raw[0].Seq
 				}
-				p.rawByTID[tid] = raw[consumed:]
+				// Compact in place: re-slicing past the consumed prefix
+				// would make every later append reallocate.
+				n := copy(raw, raw[consumed:])
+				clear(raw[n:])
+				p.rawByTID[tid] = raw[:n]
 				p.expByTID[tid] = append(p.expByTID[tid], &expGroup{events: expected, seqs: seqs})
 				return false
 			}

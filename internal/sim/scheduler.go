@@ -13,6 +13,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"sort"
 	"time"
 )
@@ -77,11 +78,10 @@ type Scheduler struct {
 	nextSeq int64
 	shard   int // index within a ShardedScheduler; 0 for standalone use
 
-	runq   []*Task
+	runq   taskRing
 	timers timerHeap
 	live   int // tasks not yet done
 
-	parked  chan struct{} // task -> scheduler handoff
 	current *Task
 
 	// OnCrash, if non-nil, is invoked (in scheduler context) whenever a
@@ -117,10 +117,7 @@ const DefaultTraceCap = 1 << 16
 
 // New returns an empty scheduler with the clock at zero.
 func New() *Scheduler {
-	return &Scheduler{
-		parked:  make(chan struct{}),
-		blocked: make(map[*Task]struct{}),
-	}
+	return &Scheduler{blocked: make(map[*Task]struct{})}
 }
 
 // Now returns the current virtual time.
@@ -186,53 +183,54 @@ func (s *Scheduler) TraceDropped() int64 { return s.traceDropped }
 func (s *Scheduler) Go(name string, fn func(*Task)) *Task {
 	s.nextID++
 	t := &Task{
-		id:     s.nextID,
-		name:   name,
-		s:      s,
-		resume: make(chan struct{}),
-		state:  StateNew,
+		id:    s.nextID,
+		name:  name,
+		s:     s,
+		state: StateNew,
 	}
 	s.live++
-	go func() {
-		<-t.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if _, isKill := r.(killedPanic); !isKill {
-					t.crashed = true
-					t.crashVal = r
-				}
-			}
-			t.state = StateDone
-			s.live--
-			// Wake any tasks joined on this one.
-			t.joiners.wakeAll(s)
-			s.parked <- struct{}{}
-		}()
-		t.state = StateRunning
-		fn(t)
-	}()
+	t.bindCoroutine(fn)
 	s.enqueue(t)
 	return t
 }
 
+// runTask is the body of every task coroutine: it runs fn to completion
+// and converts its exit — normal return, kill unwind or crash — into the
+// done state, so dispatch sees a clean return from the coroutine.
+func (s *Scheduler) runTask(t *Task, fn func(*Task)) {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isKill := r.(killedPanic); !isKill {
+				t.crashed = true
+				t.crashVal = r
+			}
+		}
+		t.state = StateDone
+		s.live--
+		// Wake any tasks joined on this one.
+		t.joiners.wakeAll(s)
+	}()
+	t.state = StateRunning
+	fn(t)
+}
+
 func (s *Scheduler) enqueue(t *Task) {
 	t.state = StateRunnable
-	s.runq = append(s.runq, t)
+	s.runq.push(t)
 }
 
 // Run executes tasks until none remain, returning nil, or until no task can
 // make progress, returning a *DeadlockError.
 func (s *Scheduler) Run() error {
 	for s.live > 0 {
-		if len(s.runq) == 0 {
+		if s.runq.n == 0 {
 			if s.timers.Len() == 0 {
 				return s.deadlock()
 			}
 			s.fireNextTimer()
 			continue
 		}
-		t := s.runq[0]
-		s.runq = s.runq[1:]
+		t := s.runq.pop()
 		if t.state == StateDone {
 			continue
 		}
@@ -247,7 +245,7 @@ func (s *Scheduler) Run() error {
 func (s *Scheduler) RunFor(d time.Duration) error {
 	deadline := s.clock + d
 	for s.live > 0 && s.clock < deadline {
-		if len(s.runq) == 0 {
+		if s.runq.n == 0 {
 			if s.timers.Len() == 0 {
 				return s.deadlock()
 			}
@@ -258,8 +256,7 @@ func (s *Scheduler) RunFor(d time.Duration) error {
 			s.fireNextTimer()
 			continue
 		}
-		t := s.runq[0]
-		s.runq = s.runq[1:]
+		t := s.runq.pop()
 		if t.state == StateDone {
 			continue
 		}
@@ -290,7 +287,7 @@ func (s *Scheduler) blockedNames() []string {
 // Done tasks still queued count (dispatch skips them), so a true result
 // means at most that the next run step is cheap, never that it is
 // missing — which is what the sharded epoch loop needs.
-func (s *Scheduler) hasRunnable() bool { return len(s.runq) > 0 }
+func (s *Scheduler) hasRunnable() bool { return s.runq.n > 0 }
 
 // nextTimer returns the earliest pending timer deadline. Stale timers
 // (task killed or woken early) are included, so the returned time is a
@@ -305,8 +302,18 @@ func (s *Scheduler) nextTimer() (time.Duration, bool) {
 // liveTasks returns the number of tasks not yet done.
 func (s *Scheduler) liveTasks() int { return s.live }
 
+// gcYieldEvery is how many dispatches the run loop makes between calls
+// to runtime.Gosched. A coroutine switch never enters the Go scheduler,
+// so without this a run on one OS thread starves the GC's background
+// mark worker and pushes its work onto allocating tasks as assists.
+// Power of two; yielding the OS thread has no effect on the schedule.
+const gcYieldEvery = 1024
+
 func (s *Scheduler) dispatch(t *Task) {
 	s.dispatches++
+	if s.dispatches&(gcYieldEvery-1) == 0 {
+		runtime.Gosched()
+	}
 	s.current = t
 	t.state = StateRunning
 	if s.tracing {
@@ -323,8 +330,11 @@ func (s *Scheduler) dispatch(t *Task) {
 	if s.profiler != nil {
 		s.segStart = sliceStart
 	}
-	t.resume <- struct{}{}
-	<-s.parked
+	t.next()
+	if t.state == StateDone {
+		// Drop the finished coroutine so the Task pins nothing.
+		t.next, t.yield = nil, nil
+	}
 	if s.profiler != nil {
 		s.flushSegment(t)
 	}
@@ -378,6 +388,41 @@ func (s *Scheduler) fireNextTimer() {
 			s.enqueue(next.task)
 		}
 	}
+}
+
+// taskRing is the run queue: a FIFO of tasks in a power-of-two circular
+// buffer that doubles when full, so steady enqueue/dispatch traffic
+// allocates nothing.
+type taskRing struct {
+	buf  []*Task
+	head int // index of the oldest task
+	n    int // tasks queued
+}
+
+func (r *taskRing) push(t *Task) {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = t
+	r.n++
+}
+
+// pop removes and returns the oldest task; the ring must be non-empty.
+func (r *taskRing) pop() *Task {
+	t := r.buf[r.head]
+	r.buf[r.head] = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return t
+}
+
+// grow doubles the full ring, unwrapping it so the oldest task lands at
+// index 0.
+func (r *taskRing) grow() {
+	buf := make([]*Task, max(2*len(r.buf), 16))
+	k := copy(buf, r.buf[r.head:])
+	copy(buf[k:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
 }
 
 type timer struct {

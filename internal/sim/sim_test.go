@@ -469,15 +469,22 @@ func TestDeterministicTrace(t *testing.T) {
 
 func TestGoFromInsideTask(t *testing.T) {
 	s := New()
-	ran := false
+	var order []string
 	s.Go("parent", func(tk *Task) {
-		s.Go("child", func(tk2 *Task) { ran = true })
+		order = append(order, "parent")
+		child := s.Go("child", func(ck *Task) {
+			order = append(order, "child")
+			ck.Yield()
+			order = append(order, "child-again")
+		})
+		tk.Join(child)
+		order = append(order, "parent-joined")
 	})
 	if err := s.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !ran {
-		t.Fatal("child never ran")
+	if got, want := strings.Join(order, " "), "parent child child-again parent-joined"; got != want {
+		t.Fatalf("order = %s, want %s", got, want)
 	}
 }
 

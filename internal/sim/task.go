@@ -6,19 +6,27 @@ import (
 )
 
 // killedPanic is the sentinel used to unwind a task that was killed while
-// blocked or yielding. It is recovered by the task wrapper in Scheduler.Go
-// and never escapes the scheduler.
+// blocked or yielding. It is recovered by Scheduler.runTask and never
+// escapes the scheduler.
 type killedPanic struct{}
 
 // Task is a cooperative thread of execution inside a Scheduler. All Task
 // methods must be called from the task's own function (except Kill and
 // Done, which may be called from any task).
+//
+// A task is a coroutine, not a free-running goroutine: dispatch calls
+// next, which runs the task until it parks (yield) or exits, and control
+// passes back without going through the Go scheduler.
 type Task struct {
-	id     int
-	name   string
-	s      *Scheduler
-	resume chan struct{}
-	state  State
+	id    int
+	name  string
+	s     *Scheduler
+	state State
+
+	// next resumes the coroutine; yield, called from inside it, parks
+	// it. Both are nil once the task is done.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	killed   bool
 	crashed  bool
@@ -61,8 +69,7 @@ func (t *Task) Now() time.Duration { return t.s.clock }
 // resume, if the task was killed in the meantime, it unwinds via
 // killedPanic so deferred cleanup still runs.
 func (t *Task) park() {
-	t.s.parked <- struct{}{}
-	<-t.resume
+	t.yield(struct{}{})
 	t.state = StateRunning
 	if t.killed {
 		panic(killedPanic{})
@@ -202,7 +209,7 @@ func (q *WaitQueue) WakeOne(s *Scheduler) bool {
 			delete(s.blocked, t)
 			t.waitingOn = nil
 			t.state = StateRunnable
-			s.runq = append(s.runq, t)
+			s.runq.push(t)
 			return true
 		}
 	}

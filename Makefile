@@ -26,13 +26,14 @@ test:
 # run-twice property tests execute under -race here) — then the
 # wall-clock benchmark's own tests (its reply oracle and traced-vs-
 # untraced fingerprint equality exercise sim, mve and dsl from outside),
-# one iteration of the ring and scheduler microbenchmarks, and the
+# one iteration of the ring, scheduler and recorder microbenchmarks, and the
 # benchtool smoke runs.
 check: vet fmt-check lint-maps
 	$(GO) test -race ./...
 	cd wallbench && $(GO) test ./...
 	$(GO) test -bench . -benchtime=1x ./internal/ringbuf/...
 	$(GO) test -bench . -benchtime=1x ./internal/sim/
+	$(GO) test -bench . -benchtime=1x ./internal/obs/
 	$(MAKE) metrics-smoke
 	$(MAKE) perf-smoke
 	$(MAKE) timeline-smoke

@@ -884,6 +884,28 @@ func (p *Proc) roleLabel() string {
 	}
 }
 
+// syscallDetail is the hot-trace detail of one dispatched syscall,
+// rendered only if the trace is read while the event is retained.
+type syscallDetail struct {
+	call sysabi.Call
+	ret  int64
+	err  sysabi.Errno
+}
+
+func (d syscallDetail) String() string {
+	return fmt.Sprintf("%s = %d/%v", d.call, d.ret, d.err)
+}
+
+// validateDetail is the hot-trace detail of one follower validation.
+type validateDetail struct {
+	seq      uint64
+	exp, got sysabi.Call
+}
+
+func (d validateDetail) String() string {
+	return fmt.Sprintf("#%d expect %s, got %s", d.seq, d.exp, d.got)
+}
+
 func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 	if p.profiling() {
 		t.PushLabel(obs.LblLeader)
@@ -904,7 +926,7 @@ func (p *Proc) invokeSingle(t *sim.Task, call sysabi.Call) sysabi.Result {
 			sc.Inc(obs.CSyscallsSingle)
 			sc.Observe(obs.HSyscallSingle, t.Now()-start)
 		}
-		rec.Emitf(obs.KindSyscall, p.name, "%s = %d/%v", call, res.Ret, res.Err)
+		rec.EmitLazy(obs.KindSyscall, p.name, syscallDetail{call, res.Ret, res.Err})
 		p.trackKernelState(call, res)
 		if rec.SpansEnabled() {
 			p.trackRequest(t, call, res, nil)
@@ -932,7 +954,7 @@ func (p *Proc) invokeLeader(t *sim.Task, call sysabi.Call) sysabi.Result {
 	if rec.Enabled() {
 		rec.Inc(obs.CSyscallsLeader)
 		rec.Observe(obs.HSyscallLeader, t.Now()-start)
-		rec.Emitf(obs.KindSyscall, p.name, "%s = %d/%v", call, res.Ret, res.Err)
+		rec.EmitLazy(obs.KindSyscall, p.name, syscallDetail{call, res.Ret, res.Err})
 		if sc := p.scoped(); sc != nil {
 			sc.Inc(obs.CSyscallsLeader)
 			sc.Observe(obs.HSyscallLeader, t.Now()-start)
@@ -1054,7 +1076,7 @@ func (p *Proc) invokeFollower(t *sim.Task, call sysabi.Call) (sysabi.Result, boo
 		if rec := p.m.rec; rec.Enabled() {
 			rec.Inc(obs.CMVEReplayed)
 			rec.Inc(obs.CSyscallsFollower)
-			rec.Emitf(obs.KindValidate, p.name, "#%d expect %s, got %s", exp.Seq, exp.Call, call)
+			rec.EmitLazy(obs.KindValidate, p.name, validateDetail{exp.Seq, exp.Call, call})
 			if sc := p.scoped(); sc != nil {
 				sc.Inc(obs.CMVEReplayed)
 				sc.Inc(obs.CSyscallsFollower)
@@ -1159,10 +1181,16 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 				}
 				if fired != nil {
 					p.m.Stats.Rewritten++
-					p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
-					p.m.rec.Inc(obs.CRuleHits)
-					p.m.rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",
-						fired.Name, consumed, len(expected), tid)
+					// Guarded: the variadic arguments are boxed at the
+					// call even when nothing is logged or recorded.
+					if p.m.logEnabled {
+						p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
+					}
+					if rec := p.m.rec; rec.Enabled() {
+						rec.Inc(obs.CRuleHits)
+						rec.Emitf(obs.KindRuleHit, p.name, "rule %q rewrote %d event(s) into %d for tid %d",
+							fired.Name, consumed, len(expected), tid)
+					}
 				}
 				seqs := make([]uint64, consumed)
 				for i := 0; i < consumed; i++ {

@@ -362,6 +362,17 @@ func (c *Cursor) Close() {
 	}
 }
 
+// lagDetail is the hot-trace detail of one cursor read: the entry and
+// the cursor's lag right after it.
+type lagDetail struct {
+	entry Entry
+	lag   int
+}
+
+func (d lagDetail) String() string {
+	return fmt.Sprintf("%s (lag %d)", entryDetail(d.entry), d.lag)
+}
+
 // take consumes the entry at the cursor position (bounds already
 // checked), charging the shared per-entry accounting.
 func (c *Cursor) take(t *sim.Task) Entry {
@@ -369,7 +380,7 @@ func (c *Cursor) take(t *sim.Task) Entry {
 	c.pos++
 	if c.mb.Rec.Enabled() {
 		c.mb.Rec.Inc(obs.CRingGet)
-		c.mb.Rec.Emitf(obs.KindRingGet, c.name, "%s (lag %d)", entryDetail(e), c.Lag())
+		c.mb.Rec.EmitLazy(obs.KindRingGet, c.name, lagDetail{e, c.Lag()})
 	}
 	return e
 }

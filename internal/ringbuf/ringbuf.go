@@ -231,7 +231,7 @@ func (b *Buffer) append(e Entry) {
 		b.Rec.Inc(obs.CRingPut)
 		b.Rec.SetGauge(obs.GRingOccupancy, int64(b.count))
 		b.Rec.MaxGauge(obs.GRingHighWater, int64(b.HighWater))
-		b.Rec.Emitf(obs.KindRingPut, e.Kind.String(), "%s (occ %d/%d)", entryDetail(e), b.count, b.capacity)
+		b.Rec.EmitLazy(obs.KindRingPut, e.Kind.String(), occDetail{e, b.count, b.capacity})
 	}
 	if b.count == 1 {
 		// empty→non-empty: the only edge a consumer can be parked behind.
@@ -245,6 +245,18 @@ func entryDetail(e Entry) string {
 		return e.Event.String()
 	}
 	return e.Kind.String()
+}
+
+// occDetail is the hot-trace detail of one put or get: the entry and
+// the occupancy right after it, rendered only if the trace is read
+// while the event is retained.
+type occDetail struct {
+	entry      Entry
+	count, cap int
+}
+
+func (d occDetail) String() string {
+	return fmt.Sprintf("%s (occ %d/%d)", entryDetail(d.entry), d.count, d.cap)
 }
 
 // TryAppend appends an entry without ever blocking: it reports false if
@@ -284,7 +296,7 @@ func (b *Buffer) take(t *sim.Task) Entry {
 	if b.Rec.Enabled() {
 		b.Rec.Inc(obs.CRingGet)
 		b.Rec.SetGauge(obs.GRingOccupancy, int64(b.count))
-		b.Rec.Emitf(obs.KindRingGet, t.Name(), "%s (occ %d/%d)", entryDetail(e), b.count, b.capacity)
+		b.Rec.EmitLazy(obs.KindRingGet, t.Name(), occDetail{e, b.count, b.capacity})
 	}
 	if wasFull {
 		// full→not-full: the only edge a producer can be parked behind.

@@ -668,3 +668,41 @@ func TestRecorderMetricsFlow(t *testing.T) {
 		t.Fatalf("block wait histogram = %+v", h)
 	}
 }
+
+// TestPutGetAllocs pins the ring's steady-state allocations: a Put and
+// a Get allocate nothing without a recorder, and exactly one box per
+// hot event (one put, one get) with a warm recorder attached, because
+// the trace details are rendered only when the trace is read.
+func TestPutGetAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  bool
+		want float64
+	}{{"recorder_off", false, 0}, {"recorder_on", true, 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New()
+			b := New(s, 64)
+			if tc.rec {
+				b.Rec = obs.New(s.Now, obs.Options{TraceCapacity: 16})
+			}
+			e := Entry{Kind: KindSyscall, Event: ev(sysabi.OpWrite, "payload")}
+			var allocs float64
+			s.Go("bench", func(tk *sim.Task) {
+				for i := 0; i < 64; i++ { // grow the ring, wrap the trace
+					b.Put(tk, e)
+					b.Get(tk)
+				}
+				allocs = testing.AllocsPerRun(100, func() {
+					b.Put(tk, e)
+					b.Get(tk)
+				})
+			})
+			if err := s.Run(); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if allocs != tc.want {
+				t.Fatalf("Put+Get allocates %v, want %v", allocs, tc.want)
+			}
+		})
+	}
+}

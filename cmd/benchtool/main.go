@@ -1,48 +1,29 @@
-// Command benchtool regenerates the paper's evaluation artifacts (§6):
+// Command benchtool regenerates the paper's evaluation artifacts (§6)
+// and the experiments that extend them:
 //
 //	benchtool -experiment table1   # Vsftpd rewrite-rule counts
 //	benchtool -experiment table2   # steady-state throughput/overhead
 //	benchtool -experiment fig6     # throughput while updating
 //	benchtool -experiment fig7     # update pause vs ring-buffer size
 //	benchtool -experiment faults   # §6.2 fault-tolerance runs
-//	benchtool -experiment chaos    # seeded fault matrix (§6.2 extended)
-//	benchtool -experiment rolling  # rolling-upgrade comparison (§1.1 extension)
-//	benchtool -experiment metrics  # flight-recorder export (docs/OBSERVABILITY.md)
-//	benchtool -experiment perf     # perf-trajectory baseline (docs/PERFORMANCE.md)
-//	benchtool -experiment timeline # span tracing + request latency attribution
-//	benchtool -experiment nvariant # N-variant fleet: quorum verdicts + canary gates
-//	benchtool -experiment slo      # availability ledger: SLO windows, MTTR, pause attribution
-//	benchtool -experiment train    # update trains: eager vs lazy state transformation
-//	benchtool -experiment profile  # virtual-clock profiler: exact time attribution
-//	benchtool -experiment sharddet # sharded runtime determinism smoke (run twice, diff)
+//	benchtool -experiment metrics  # flight-recorder export
 //	benchtool -experiment all      # everything
 //
-// benchtool -list enumerates the experiments with one-line
-// descriptions.
+// benchtool -list enumerates every experiment with a one-line
+// description; the list is the table in internal/bench/catalog.go, and
+// an unknown -experiment name exits 1 with the valid names.
 //
-// The metrics experiment emits a machine-readable report; -json writes
-// it to a file and -validate checks an existing report against the
-// golden schema:
+// benchtool prints each experiment's text rendering. The committed
+// BENCH_*.json artifacts are written and checked by the golden test in
+// internal/bench, not by this command:
 //
-//	benchtool -experiment metrics -json BENCH_metrics.json
-//	benchtool -validate BENCH_metrics.json
+//	go test ./internal/bench -run TestArtifacts          # compare
+//	go test ./internal/bench -run TestArtifacts -update  # regenerate
 //
-// The perf experiment likewise writes its report with -json. Besides
-// the virtual-cost scenario rows it sweeps the sharded runtime over
-// 1/2/4/8 shards and reports a speedup curve with both a deterministic
-// virtual-makespan column and measured wall-clock throughput. Because
-// the wall columns are runner-dependent, `make check` compares the
-// committed BENCH_perf.json with -perfdiff (semantic: deterministic
-// fields must match exactly, measured fields are ignored) instead of a
-// byte diff; regenerate with `make bench-perf`:
+// The timeline experiment can also write the traced run's Chrome
+// trace_event export (Perfetto-loadable):
 //
-//	benchtool -experiment perf -json BENCH_perf.json
-//	benchtool -perfdiff BENCH_perf.json fresh.json
-//
-// The timeline experiment writes its report with -json and the traced
-// run's Chrome trace_event export (Perfetto-loadable) with -perfetto:
-//
-//	benchtool -experiment timeline -json BENCH_timeline.json -perfetto trace.json
+//	benchtool -experiment timeline -perfetto trace.json
 //
 // All measurements run in deterministic virtual time; see DESIGN.md for
 // the substitution rationale and internal/bench/costmodel.go for the
@@ -50,295 +31,85 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"mvedsua/internal/bench"
-	"mvedsua/internal/rolling"
 )
 
-func main() {
-	experiment := flag.String("experiment", "all", "table1|table2|fig6|fig7|faults|chaos|rolling|metrics|perf|timeline|nvariant|slo|train|profile|sharddet|all")
-	list := flag.Bool("list", false, "list the experiments with one-line descriptions and exit")
-	window := flag.Duration("window", bench.DefaultTable2Config.Window, "table2 measurement window (virtual time)")
-	full := flag.Bool("full", false, "run fig7 at paper scale (1M entries, 2^24 buffer; slow)")
-	jsonOut := flag.String("json", "", "write the metrics report as JSON to this file")
-	perfettoOut := flag.String("perfetto", "", "timeline: write the Chrome trace_event export to this file")
-	validate := flag.String("validate", "", "validate a metrics-report JSON file against the golden schema and exit")
-	perfdiff := flag.Bool("perfdiff", false, "compare two perf-report JSON files (args) on deterministic fields and exit")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, runs the selected experiments and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	var names []string
+	for _, e := range bench.Experiments {
+		names = append(names, e.Name)
+	}
+	names = append(names, "all")
+
+	fs := flag.NewFlagSet("benchtool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	experiment := fs.String("experiment", "all", strings.Join(names, "|"))
+	list := fs.Bool("list", false, "list the experiments with one-line descriptions and exit")
+	window := fs.Duration("window", bench.DefaultTable2Config.Window, "table2 measurement window (virtual time)")
+	full := fs.Bool("full", false, "run fig7 at paper scale (1M entries, 2^24 buffer; slow)")
+	perfettoOut := fs.String("perfetto", "", "timeline: write the Chrome trace_event export to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
-		for _, e := range experiments {
-			fmt.Printf("  %-10s %s\n", e.name, e.desc)
+		for _, e := range bench.Experiments {
+			fmt.Fprintf(stdout, "  %-10s %s\n", e.Name, e.Desc)
 		}
-		return
+		fmt.Fprintf(stdout, "  %-10s %s\n", "all", "every experiment above, in order")
+		return 0
 	}
 
-	if *perfdiff {
-		args := flag.Args()
-		if len(args) != 2 {
-			fail(fmt.Errorf("-perfdiff needs exactly two report files, got %d", len(args)))
+	var selected []bench.Experiment
+	for _, e := range bench.Experiments {
+		if *experiment == e.Name || *experiment == "all" {
+			selected = append(selected, e)
 		}
-		a, err := os.ReadFile(args[0])
-		if err != nil {
-			fail(err)
-		}
-		b, err := os.ReadFile(args[1])
-		if err != nil {
-			fail(err)
-		}
-		if err := bench.ComparePerfReports(a, b); err != nil {
-			fail(fmt.Errorf("%s vs %s: %w", args[0], args[1], err))
-		}
-		fmt.Printf("%s and %s agree on all deterministic perf fields\n", args[0], args[1])
-		return
+	}
+	if len(selected) == 0 {
+		fmt.Fprintf(stderr, "benchtool: unknown experiment %q; valid: %s\n", *experiment, strings.Join(names, ", "))
+		return 1
 	}
 
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
-		if err != nil {
-			fail(err)
-		}
-		if err := bench.ValidateMetricsReport(data, bench.MetricsSchemaJSON); err != nil {
-			fail(fmt.Errorf("%s: %w", *validate, err))
-		}
-		fmt.Printf("%s: valid %s report\n", *validate, bench.MetricsSchemaID)
-		return
-	}
-
-	run := func(name string) bool { return *experiment == name || *experiment == "all" }
 	start := time.Now()
-
-	if run("table1") {
-		fmt.Println(bench.FormatTable1(bench.Table1()))
-	}
-	if run("table2") {
-		cfg := bench.DefaultTable2Config
-		cfg.Window = *window
-		cells, err := bench.Table2(cfg)
+	for _, e := range selected {
+		res, err := e.Run(bench.RunOptions{Window: *window, Full: *full})
 		if err != nil {
-			fail(err)
+			fmt.Fprintln(stderr, "benchtool:", err)
+			return 1
 		}
-		fmt.Println(bench.FormatTable2(cells))
-	}
-	if run("fig6") {
-		results, err := bench.Fig6(bench.DefaultFig6Config)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatFig6(results))
-	}
-	if run("fig7") {
-		cfg := bench.DefaultFig7Config
-		if *full {
-			cfg = bench.Fig7Config{Entries: 1 << 20, PostUpdate: 20 * time.Second}
-		}
-		results, err := bench.Fig7(cfg)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatFig7(results, cfg))
-	}
-	if run("faults") {
-		fmt.Println(bench.FormatFaults(bench.Faults()))
-	}
-	if run("chaos") {
-		fmt.Println(bench.FormatChaos(bench.ChaosSweep()))
-	}
-	if run("rolling") {
-		results, err := rolling.Compare(4, 20000, "2.0.0", "2.0.1")
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(rolling.FormatComparison(results))
-	}
-	if run("metrics") {
-		report, err := bench.RunMetricsReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatMetricsReport(report))
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
+		fmt.Fprintln(stdout, res.Text)
+		if *perfettoOut != "" && res.Perfetto != nil {
+			if err := writePerfetto(*perfettoOut, res.Perfetto); err != nil {
+				fmt.Fprintln(stderr, "benchtool:", err)
+				return 1
 			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			if err := bench.ValidateMetricsReport(data, bench.MetricsSchemaJSON); err != nil {
-				fail(fmt.Errorf("emitted report failed schema validation: %w", err))
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (schema-valid %s)\n", *jsonOut, bench.MetricsSchemaID)
+			fmt.Fprintf(stderr, "wrote %s (Chrome trace_event, load in Perfetto)\n", *perfettoOut)
 		}
 	}
-	if run("perf") {
-		report, err := bench.RunPerfReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatPerfReport(report))
-		// -json targets the selected experiment; when running "all" the
-		// metrics report owns the flag.
-		if *jsonOut != "" && *experiment == "perf" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.PerfSchemaID)
-		}
-	}
-	if run("timeline") {
-		report, perfetto, err := bench.RunTimelineReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatTimelineReport(report))
-		if *jsonOut != "" && *experiment == "timeline" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.TimelineSchemaID)
-		}
-		if *perfettoOut != "" {
-			if err := bench.ValidateChromeTrace(perfetto); err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*perfettoOut, perfetto, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (Chrome trace_event, load in Perfetto)\n", *perfettoOut)
-		}
-	}
-	if run("nvariant") {
-		report, err := bench.RunNVariantReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatNVariantReport(report))
-		if *jsonOut != "" && *experiment == "nvariant" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.NVariantSchemaID)
-		}
-	}
-	if run("slo") {
-		report, err := bench.RunSLOReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatSLOReport(report))
-		if *jsonOut != "" && *experiment == "slo" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.SLOSchemaID)
-		}
-	}
-	if run("train") {
-		report, err := bench.RunTrainReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatTrainReport(report))
-		if *jsonOut != "" && *experiment == "train" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.TrainSchemaID)
-		}
-	}
-	if run("profile") {
-		report, err := bench.RunProfileReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatProfileReport(report))
-		if *jsonOut != "" && *experiment == "profile" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.ProfileSchemaID)
-		}
-	}
-	if run("sharddet") {
-		report, err := bench.RunShardDetReport()
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println(bench.FormatShardDetReport(report))
-		if *jsonOut != "" && *experiment == "sharddet" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			data = append(data, '\n')
-			if err := os.WriteFile(*jsonOut, data, 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s (%s)\n", *jsonOut, bench.ShardDetSchemaID)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "(completed in %.1fs wall-clock)\n", time.Since(start).Seconds())
+	fmt.Fprintf(stderr, "(completed in %.1fs wall-clock)\n", time.Since(start).Seconds())
+	return 0
 }
 
-// experiments is the -list catalogue; keep entries in the order the
-// main dispatch runs them.
-var experiments = []struct{ name, desc string }{
-	{"table1", "Vsftpd rewrite-rule counts (paper Table 1)"},
-	{"table2", "steady-state throughput and MVE overhead (paper Table 2)"},
-	{"fig6", "throughput timeline while updating (paper Figure 6)"},
-	{"fig7", "update pause vs ring-buffer size (paper Figure 7)"},
-	{"faults", "fault-tolerance runs: divergence, rollback, retry (paper 6.2)"},
-	{"chaos", "seeded fault-injection matrix across syscalls and kinds"},
-	{"rolling", "rolling-upgrade comparison vs MVEDSUA (paper 1.1 extension)"},
-	{"metrics", "flight-recorder export -> BENCH_metrics.json"},
-	{"perf", "perf-trajectory baseline + shard speedup curve -> BENCH_perf.json"},
-	{"timeline", "span tracing + request latency attribution -> BENCH_timeline.json"},
-	{"nvariant", "N-variant fleet: quorum verdicts + canary gates -> BENCH_nvariant.json"},
-	{"slo", "availability ledger: SLO windows, MTTR, pause attribution -> BENCH_slo.json"},
-	{"train", "update trains: eager vs lazy state transformation -> BENCH_train.json"},
-	{"profile", "virtual-clock profiler: exact duo/fleet/sweep time attribution -> BENCH_profile.json"},
-	{"sharddet", "sharded-runtime determinism smoke: parallel shards, cross-shard update trigger"},
-	{"all", "every experiment above, in order"},
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "benchtool:", err)
-	os.Exit(1)
+// writePerfetto validates a Chrome trace_event export and writes it.
+func writePerfetto(path string, data []byte) error {
+	if err := bench.ValidateChromeTrace(data); err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
 }

@@ -1,33 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"testing"
 )
-
-// TestNVariantReportDeterministic runs the full nvariant experiment
-// twice and requires byte-identical JSON — the property that lets
-// `make check` diff the committed BENCH_nvariant.json against a fresh
-// run. Fleet scheduling adds K validator tasks plus eject/respawn and
-// canary machinery on top of the duo, so this also pins their task
-// ordering.
-func TestNVariantReportDeterministic(t *testing.T) {
-	run := func() []byte {
-		report, err := RunNVariantReport()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a, b := run(), run()
-	if string(a) != string(b) {
-		t.Fatalf("nvariant report not deterministic:\nrun1:\n%s\nrun2:\n%s", a, b)
-	}
-}
 
 // TestNVariantScenariosTolerated requires every fleet scenario to reach
 // its expected outcome with zero client-visible failures — the paper's

@@ -21,7 +21,7 @@ import (
 // multi-variant failures, canary-staged updates with gate-driven
 // promotion and rollback, and canary-phase chaos. Every scenario runs
 // in deterministic virtual time, so BENCH_nvariant.json is a
-// byte-stable artifact `make check` can diff.
+// byte-stable artifact TestArtifacts can diff.
 
 // NVariantSchemaID is the report format identifier.
 const NVariantSchemaID = "mvedsua-nvariant/v1"

@@ -27,8 +27,8 @@ import (
 // gauge and histogram in internal/obs/names.go, which is what the
 // golden schema (testdata/metrics_schema.json) asserts.
 
-// MetricsSchemaJSON is the golden schema benchtool -validate checks
-// reports against. A test keeps it in sync with obs's name vocabulary.
+// MetricsSchemaJSON is the golden schema the metrics artifact is
+// validated against (the experiment's comparator in catalog.go). A test keeps it in sync with obs's name vocabulary.
 //
 //go:embed testdata/metrics_schema.json
 var MetricsSchemaJSON []byte

@@ -12,7 +12,7 @@ import (
 // TestSchemaMatchesObsVocabulary keeps the golden schema and the obs
 // name constants in lockstep: every name in internal/obs/names.go must
 // appear in the schema (required or optional) and vice versa, so a
-// rename on either side fails here before it fails in CI's smoke run.
+// rename on either side fails here before it fails TestArtifacts.
 func TestSchemaMatchesObsVocabulary(t *testing.T) {
 	var schema metricsSchema
 	if err := json.Unmarshal(MetricsSchemaJSON, &schema); err != nil {
@@ -36,9 +36,8 @@ func TestSchemaMatchesObsVocabulary(t *testing.T) {
 }
 
 // TestMetricsReportValidates runs the full observed-scenario suite and
-// checks the emitted report against the golden schema — the same check
-// `make check` performs via the benchtool, kept in-process here so `go
-// test ./...` alone catches a vocabulary regression.
+// checks the emitted report against the golden schema, and checks that
+// every scenario reaches its intended terminal state.
 func TestMetricsReportValidates(t *testing.T) {
 	report, err := RunMetricsReport()
 	if err != nil {

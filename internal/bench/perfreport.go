@@ -59,8 +59,8 @@ type PerfScenario struct {
 // PerfReport is the serialized artifact (BENCH_perf.json). Scenarios
 // are fully deterministic (virtual-time quantities only); Speedup mixes
 // deterministic workload accounting with measured wall-clock columns,
-// which is why the perf smoke compares artifacts with ComparePerfReports
-// instead of a byte diff.
+// which is why the artifact's comparator is ComparePerfReports instead
+// of a byte diff.
 type PerfReport struct {
 	Schema    string         `json:"schema"`
 	Scenarios []PerfScenario `json:"scenarios"`
@@ -69,7 +69,7 @@ type PerfReport struct {
 
 // perfWarmup/perfWindow size each scenario run. Short on purpose: the
 // runs are deterministic, so a small window measures the same ratios as
-// a long one and keeps `make check` fast.
+// a long one and keeps the golden test fast.
 const (
 	perfWarmup = 50 * time.Millisecond
 	perfWindow = 400 * time.Millisecond
@@ -77,7 +77,7 @@ const (
 
 // RunPerfReport measures every perf scenario. The scenario list is the
 // contract: adding or resizing one changes BENCH_perf.json and needs a
-// `make bench-perf` regeneration.
+// regeneration (`make bench-all`).
 func RunPerfReport() (*PerfReport, error) {
 	scenarios := []struct {
 		name   string
@@ -117,7 +117,7 @@ func RunPerfReport() (*PerfReport, error) {
 // deterministic columns must match exactly, while the measured
 // wall-clock fields (WallMS, WallOpsPerSec, SpeedupX, MaxProcs) are
 // ignored — they differ run to run and machine to machine by design.
-// This is what `make perf-smoke` runs against the committed artifact.
+// It is the perf entry's comparator in the experiment table.
 func ComparePerfReports(a, b []byte) error {
 	parse := func(data []byte) (*PerfReport, error) {
 		var r PerfReport

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -123,31 +124,14 @@ func TestProfilingDoesNotPerturbSchedule(t *testing.T) {
 	}
 }
 
-// TestProfileReportDeterministic runs the whole profile experiment
-// twice and requires byte-identical JSON — the property `make check`
-// relies on when diffing BENCH_profile.json.
-func TestProfileReportDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full profile experiment; skipped with -short")
+// TestProfileReportClaims spot-checks the claims the profile experiment
+// exists to demonstrate, on the committed BENCH_profile.json (which
+// TestArtifacts keeps equal to a fresh run).
+func TestProfileReportClaims(t *testing.T) {
+	a, err := os.ReadFile(artifactPath("BENCH_profile.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	encode := func() []byte {
-		r, err := RunProfileReport()
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-	a := encode()
-	b := encode()
-	if string(a) != string(b) {
-		t.Fatal("BENCH_profile.json content differs between identical runs")
-	}
-
-	// Spot-check the claims the experiment exists to demonstrate.
 	var r ProfileReport
 	if err := json.Unmarshal(a, &r); err != nil {
 		t.Fatal(err)

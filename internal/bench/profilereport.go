@@ -33,7 +33,7 @@ import (
 //     cpu-only fold is byte-identical at every placement.
 //
 // Every number is virtual-time-derived, so BENCH_profile.json is
-// byte-stable run-to-run; `make check` diffs it.
+// byte-stable run-to-run; TestArtifacts diffs it.
 
 // ProfileSchemaID is the report format identifier.
 const ProfileSchemaID = "mvedsua-profile/v1"

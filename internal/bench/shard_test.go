@@ -68,8 +68,9 @@ func TestSpeedupPointRunTwiceDeterministic(t *testing.T) {
 	}
 }
 
-// The sharddet experiment is the byte-determinism contract `make check`
-// leans on: two full runs must serialize identically.
+// The sharddet experiment is the byte-determinism contract for the
+// parallel runtime: two full runs must serialize identically (under
+// -race in `make check`).
 func TestShardDetReportByteDeterministic(t *testing.T) {
 	run := func() []byte {
 		r, err := RunShardDetReport()

@@ -16,13 +16,13 @@ import (
 // This file is the sharded-runtime side of the perf experiment: a
 // strong-scaling speedup sweep over sim.ShardedScheduler (the curve in
 // BENCH_perf.json's "speedup" section) and the `benchtool -experiment
-// sharddet` determinism smoke that `make check` runs twice and
-// byte-diffs.
+// sharddet` determinism smoke, which TestShardDetReportByteDeterministic
+// runs twice and byte-compares.
 
 // SpeedupPoint is one shard count's measurement of the fixed workload.
 // The deterministic fields depend only on virtual time and seeds — two
 // runs at the same shard count produce identical values on any machine,
-// which the run-twice tests and benchtool -perfdiff pin. TotalOps is
+// which the run-twice tests and ComparePerfReports pin. TotalOps is
 // additionally shard-count invariant (every sweep point executes the
 // same bounded workload). VirtualUS is not: a shard is a simulated
 // core, its clock advances only for its own groups' work, so the
@@ -198,7 +198,8 @@ type ShardDetGroup struct {
 // exercises every determinism-critical path at once — parallel shards,
 // a cross-shard Send steering a remote update, scoped registries merged
 // into one aggregate, and the merged scheduling trace — and is
-// byte-identical across runs; `make check` runs it twice and diffs.
+// byte-identical across runs, which TestShardDetReportByteDeterministic
+// checks under -race in `make check`.
 type ShardDetReport struct {
 	Schema     string          `json:"schema"`
 	Shards     int             `json:"shards"`

@@ -31,7 +31,7 @@ import (
 //     rolls it back at window close.
 //
 // Every run is deterministic virtual time, so BENCH_slo.json is a
-// byte-stable artifact `make check` diffs.
+// byte-stable artifact TestArtifacts diffs.
 
 // SLOSchemaID is the report format identifier.
 const SLOSchemaID = "mvedsua-slo/v1"

@@ -1,39 +1,9 @@
 package bench
 
 import (
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 )
-
-// TestTrainReportDeterministic runs the full train experiment twice and
-// requires byte-identical JSON — the contract `make check` enforces on
-// the committed BENCH_train.json.
-func TestTrainReportDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full train scenarios in -short mode")
-	}
-	r1, err := RunTrainReport()
-	if err != nil {
-		t.Fatalf("first run: %v", err)
-	}
-	r2, err := RunTrainReport()
-	if err != nil {
-		t.Fatalf("second run: %v", err)
-	}
-	j1, err := json.Marshal(r1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j2, err := json.Marshal(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Fatal("train report not byte-stable across runs")
-	}
-}
 
 // TestTrainSweepLazyBoundedEagerGrows is the tentpole's acceptance
 // check: across a 10x keyspace spread the eager update pause (and the

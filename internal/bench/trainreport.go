@@ -33,7 +33,7 @@ import (
 //     flight queues instead of being dropped, and both commit.
 //
 // Every run is deterministic virtual time, so BENCH_train.json is a
-// byte-stable artifact `make check` diffs.
+// byte-stable artifact TestArtifacts diffs.
 
 // TrainSchemaID is the report format identifier.
 const TrainSchemaID = "mvedsua-train/v1"

@@ -656,14 +656,14 @@ func (c *Controller) reapCrashed(t *sim.Task, rt *dsu.Runtime) {
 // whether this controller owned the crashed task.
 func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 	handled := false
-	mine := c.taskBelongs(c.leaderRT, info) || c.taskBelongs(c.otherRT, info)
+	mine := runtimeOwns(c.leaderRT, info) || runtimeOwns(c.otherRT, info)
 	switch {
-	case c.taskBelongs(c.otherRT, info) && (c.stage == StageOutdatedLeader || c.stage == StagePromoting):
+	case runtimeOwns(c.otherRT, info) && (c.stage == StageOutdatedLeader || c.stage == StagePromoting):
 		// The updated follower crashed (new-code or state-transform
 		// error): roll back, clients never notice (§6.2).
 		c.Rollback(fmt.Sprintf("follower crashed: %v", info.Value))
 		handled = true
-	case c.taskBelongs(c.otherRT, info) && c.stage == StageUpdatedLeader:
+	case runtimeOwns(c.otherRT, info) && c.stage == StageUpdatedLeader:
 		// The outdated follower crashed after promotion: drop it.
 		c.mon.DropFollower()
 		c.otherRT = nil
@@ -671,7 +671,7 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 		c.transition(StageSingleLeader, "outdated follower crashed; committed")
 		c.armNext()
 		handled = true
-	case c.taskBelongs(c.leaderRT, info) && c.stage == StageOutdatedLeader:
+	case runtimeOwns(c.leaderRT, info) && c.stage == StageOutdatedLeader:
 		// The old version crashed while leading — likely an old-version
 		// bug fixed by the update: promote the new version (§3.2
 		// "handling old-version errors"). The crashed leader's stream may
@@ -685,7 +685,7 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 		})
 		c.transition(StagePromoting, fmt.Sprintf("leader crashed (%v); promoting follower", info.Value))
 		handled = true
-	case c.taskBelongs(c.leaderRT, info) && c.stage == StageUpdatedLeader:
+	case runtimeOwns(c.leaderRT, info) && c.stage == StageUpdatedLeader:
 		// The new version crashed while leading, before the operator
 		// committed: the outdated follower is still warm and in sync,
 		// so promote it back — the update is effectively rolled back
@@ -708,15 +708,4 @@ func (c *Controller) handleCrash(info sim.CrashInfo) bool {
 		c.OnCrash(info, handled)
 	}
 	return mine
-}
-
-func (c *Controller) taskBelongs(rt *dsu.Runtime, info sim.CrashInfo) bool {
-	if rt == nil {
-		return false
-	}
-	// Runtime tasks are named "<cfgname>/<thread>@<version>"; crashed
-	// tasks are matched by name prefix since the task may already be
-	// deregistered by the time the crash is reported.
-	name := rt.Config().Name + "/"
-	return len(info.Task) >= len(name) && info.Task[:len(name)] == name
 }

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"mvedsua/internal/bounded"
 	"mvedsua/internal/dsl"
 	"mvedsua/internal/obs"
 	"mvedsua/internal/ringbuf"
@@ -274,13 +275,10 @@ type Monitor struct {
 	// retains) nothing unless EnableEventLog was called, mirroring the
 	// obs.Recorder.Enabled gate, so hot paths that narrate (divergences,
 	// promotions, rule hits) don't pay fmt.Sprintf for a log nobody
-	// reads. When enabled, retention is bounded: the newest logCap lines
-	// are kept and older ones are counted in eventsDropped.
-	logEnabled    bool
-	logCap        int
-	events        []string // circular once len == logCap
-	eventsStart   int      // index of the oldest retained line
-	eventsDropped int64
+	// reads. When enabled, retention is bounded: the newest lines are
+	// kept and older ones are counted as dropped. A zero limit means
+	// disabled.
+	events bounded.Tail[string]
 
 	// Stats aggregates monitor activity for reporting.
 	Stats Stats
@@ -337,46 +335,31 @@ const DefaultEventLogCap = 512
 // most capacity lines (DefaultEventLogCap when <= 0). When the log
 // overflows, the oldest lines are discarded and counted; EventLog always
 // returns the newest tail. Call before starting procs to capture the
-// full lifecycle.
+// full lifecycle; a later call with another capacity restarts the log.
 func (m *Monitor) EnableEventLog(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultEventLogCap
 	}
-	m.logEnabled = true
-	m.logCap = capacity
+	if m.events.Limit() != capacity {
+		m.events = bounded.NewTail[string](capacity)
+	}
 }
 
 // EventLogEnabled reports whether logf currently retains anything.
-func (m *Monitor) EventLogEnabled() bool { return m.logEnabled }
+func (m *Monitor) EventLogEnabled() bool { return m.events.Limit() > 0 }
 
 // EventLog returns the retained tail of the monitor event log, oldest
 // first.
-func (m *Monitor) EventLog() []string {
-	if len(m.events) < m.logCap || m.eventsStart == 0 {
-		return m.events
-	}
-	out := make([]string, 0, len(m.events))
-	out = append(out, m.events[m.eventsStart:]...)
-	out = append(out, m.events[:m.eventsStart]...)
-	return out
-}
+func (m *Monitor) EventLog() []string { return m.events.Items() }
 
 // EventLogDropped returns how many log lines were evicted by the cap.
-func (m *Monitor) EventLogDropped() int64 { return m.eventsDropped }
+func (m *Monitor) EventLogDropped() int64 { return m.events.Dropped() }
 
 func (m *Monitor) logf(format string, args ...interface{}) {
-	if !m.logEnabled {
+	if !m.EventLogEnabled() {
 		return
 	}
-	line := fmt.Sprintf("[%8.3fs] ", m.sched.Now().Seconds()) + fmt.Sprintf(format, args...)
-	if len(m.events) < m.logCap {
-		m.events = append(m.events, line)
-		return
-	}
-	// Overwrite the oldest line, keeping the newest logCap.
-	m.events[m.eventsStart] = line
-	m.eventsStart = (m.eventsStart + 1) % m.logCap
-	m.eventsDropped++
+	m.events.Push(fmt.Sprintf("[%8.3fs] ", m.sched.Now().Seconds()) + fmt.Sprintf(format, args...))
 }
 
 // Proc is one version instance's view of the system: it implements
@@ -1183,7 +1166,7 @@ func (p *Proc) fillExpected(t *sim.Task, tid int) bool {
 					p.m.Stats.Rewritten++
 					// Guarded: the variadic arguments are boxed at the
 					// call even when nothing is logged or recorded.
-					if p.m.logEnabled {
+					if p.m.EventLogEnabled() {
 						p.m.logf("rule %q rewrote %d event(s) into %d for tid %d", fired.Name, consumed, len(expected), tid)
 					}
 					if rec := p.m.rec; rec.Enabled() {

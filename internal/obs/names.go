@@ -1,10 +1,10 @@
 package obs
 
 // Canonical metric names. Instrumentation sites use these constants so
-// the vocabulary is defined in one place; the benchtool's golden-schema
-// check (internal/bench/testdata/metrics_schema.json) pins the same
-// names on the wire, so renaming one here without updating the schema
-// fails `make check`.
+// the vocabulary is defined in one place; the metrics artifact's
+// golden-schema check (internal/bench/testdata/metrics_schema.json)
+// pins the same names on the wire, so renaming one here without
+// updating the schema fails `go test ./internal/bench`.
 const (
 	// sysabi dispatch (mve.Proc chokepoint).
 	CSyscallsSingle   = "sysabi.calls.single"   // single-leader-mode syscalls

@@ -33,6 +33,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"mvedsua/internal/bounded"
 )
 
 // Kind types a trace event.
@@ -242,10 +244,10 @@ type Recorder struct {
 	scopesOn bool         // set by EnableScopes; gates scoped mirroring
 	win      *windowState // set by EnableWindows; shared by all scopes
 
-	hot      []hotEvent // ring storage
-	hotCap   int
-	hotStart int   // index of the oldest event once the ring wrapped
-	dropped  int64 // hot events evicted from the ring
+	// hot is allocated in full by New: any observed run fills it within
+	// its first requests, and growing it by append left garbage that
+	// slowed world set-up measurably.
+	hot bounded.Tail[hotEvent]
 
 	milestones        []Event
 	milestonesDropped int64
@@ -258,12 +260,9 @@ type Recorder struct {
 	// recorder's, so truncated observability is never silent.
 	schedDrops TraceDropSource
 
-	spansOn      bool // set by EnableSpans; gates all span recording
-	spans        []SpanEvent
-	spanCap      int
-	spanStart    int   // oldest slot once the span store wrapped
-	spansDropped int64 // span events evicted from the circular tail
-	asyncSeq     uint64
+	spansOn  bool // set by EnableSpans; gates all span recording
+	spans    bounded.Tail[SpanEvent]
+	asyncSeq uint64
 }
 
 // New builds a recorder over the given virtual-clock source (typically
@@ -278,13 +277,15 @@ func New(now func() time.Duration, opts Options) *Recorder {
 	if opts.MilestoneCapacity <= 0 {
 		opts.MilestoneCapacity = 4096
 	}
+	if opts.SpanCapacity <= 0 {
+		opts.SpanCapacity = defaultSpanCap
+	}
 	return &Recorder{
 		now:          now,
 		root:         newRegistry("", now, nil),
-		hot:          make([]hotEvent, 0, opts.TraceCapacity),
-		hotCap:       opts.TraceCapacity,
+		hot:          bounded.NewTailPrealloc[hotEvent](opts.TraceCapacity),
 		milestoneCap: opts.MilestoneCapacity,
-		spanCap:      opts.SpanCapacity,
+		spans:        bounded.NewTail[SpanEvent](opts.SpanCapacity),
 	}
 }
 
@@ -447,7 +448,7 @@ func (r *Recorder) Emit(kind Kind, actor, detail string) {
 		return
 	}
 	if kind.Hot() {
-		r.emitHot(hotEvent{at: r.now(), kind: kind, actor: actor, detail: detail})
+		r.hot.Push(hotEvent{at: r.now(), kind: kind, actor: actor, detail: detail})
 		return
 	}
 	if r.dropMilestone() {
@@ -477,7 +478,7 @@ func (r *Recorder) EmitLazy(kind Kind, actor string, d fmt.Stringer) {
 		return
 	}
 	if kind.Hot() {
-		r.emitHot(hotEvent{at: r.now(), kind: kind, actor: actor, lazy: d})
+		r.hot.Push(hotEvent{at: r.now(), kind: kind, actor: actor, lazy: d})
 		return
 	}
 	if r.dropMilestone() {
@@ -519,23 +520,12 @@ func (h *hotEvent) event() Event {
 	return e
 }
 
-func (r *Recorder) emitHot(e hotEvent) {
-	if len(r.hot) < r.hotCap {
-		r.hot = append(r.hot, e)
-		return
-	}
-	// Overwrite the oldest slot.
-	r.hot[r.hotStart] = e
-	r.hotStart = (r.hotStart + 1) % r.hotCap
-	r.dropped++
-}
-
 // TraceDropped returns how many hot events the ring evicted.
 func (r *Recorder) TraceDropped() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.dropped
+	return r.hot.Dropped()
 }
 
 // Trace returns every retained event — milestones and the surviving hot
@@ -545,10 +535,11 @@ func (r *Recorder) Trace() []Event {
 	if r == nil {
 		return nil
 	}
-	out := make([]Event, 0, len(r.milestones)+len(r.hot))
+	hot := r.hot.Items()
+	out := make([]Event, 0, len(r.milestones)+len(hot))
 	out = append(out, r.milestones...)
-	for i := 0; i < len(r.hot); i++ {
-		out = append(out, r.hot[(r.hotStart+i)%len(r.hot)].event())
+	for i := range hot {
+		out = append(out, hot[i].event())
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
@@ -595,9 +586,9 @@ func (r *Recorder) Snapshot() Snapshot {
 		return s
 	}
 	r.root.snapshotInto(&s)
-	s.TraceDropped = r.dropped
+	s.TraceDropped = r.hot.Dropped()
 	s.MilestonesDropped = r.milestonesDropped
-	s.TraceLen = len(r.milestones) + len(r.hot)
+	s.TraceLen = len(r.milestones) + r.hot.Len()
 	return s
 }
 
@@ -644,14 +635,14 @@ func (r *Recorder) FormatMetrics() string {
 				k, h.Count, h.Mean(), h.Min, h.Quantile(0.50), h.Quantile(0.90), h.Quantile(0.99), h.Max)
 		}
 	}
-	if r.dropped > 0 {
-		fmt.Fprintf(&b, "trace: %d hot events evicted from the ring\n", r.dropped)
+	if n := r.hot.Dropped(); n > 0 {
+		fmt.Fprintf(&b, "trace: %d hot events evicted from the ring\n", n)
 	}
 	if r.milestonesDropped > 0 {
 		fmt.Fprintf(&b, "milestones: %d lifecycle events dropped at capacity\n", r.milestonesDropped)
 	}
-	if r.spansDropped > 0 {
-		fmt.Fprintf(&b, "spans.dropped: %d span events evicted from the store\n", r.spansDropped)
+	if n := r.spans.Dropped(); n > 0 {
+		fmt.Fprintf(&b, "spans.dropped: %d span events evicted from the store\n", n)
 	}
 	if r.schedDrops != nil {
 		if n := r.schedDrops.TraceDropped(); n > 0 {
@@ -682,8 +673,8 @@ func (r *Recorder) FormatTimeline(onlyMilestones bool) string {
 		b.WriteString(e.String())
 		b.WriteByte('\n')
 	}
-	if r.dropped > 0 && !onlyMilestones {
-		fmt.Fprintf(&b, "(%d older hot events evicted; milestones fully retained)\n", r.dropped)
+	if n := r.hot.Dropped(); n > 0 && !onlyMilestones {
+		fmt.Fprintf(&b, "(%d older hot events evicted; milestones fully retained)\n", n)
 	}
 	return b.String()
 }

@@ -73,25 +73,11 @@ func (r *Recorder) EnableSpans() {
 		return
 	}
 	r.spansOn = true
-	if r.spanCap <= 0 {
-		r.spanCap = defaultSpanCap
-	}
 }
 
 // SpansEnabled reports whether span recording is on. Instrumentation
 // sites gate on this before constructing span arguments.
 func (r *Recorder) SpansEnabled() bool { return r != nil && r.spansOn }
-
-func (r *Recorder) emitSpan(e SpanEvent) {
-	if len(r.spans) < r.spanCap {
-		r.spans = append(r.spans, e)
-		return
-	}
-	// Overwrite the oldest slot (circular tail, like the hot ring).
-	r.spans[r.spanStart] = e
-	r.spanStart = (r.spanStart + 1) % r.spanCap
-	r.spansDropped++
-}
 
 // Slice records a complete interval [start, end] on a track (trace_event
 // 'X'). The scheduler's dispatch hook uses it for task run slices.
@@ -102,7 +88,7 @@ func (r *Recorder) Slice(track, name string, start, end time.Duration) {
 	if end < start {
 		end = start
 	}
-	r.emitSpan(SpanEvent{Phase: PhaseSlice, At: start, Dur: end - start, Track: track, Name: name})
+	r.spans.Push(SpanEvent{Phase: PhaseSlice, At: start, Dur: end - start, Track: track, Name: name})
 }
 
 // BeginSpan opens a synchronous nested span on a track ('B'). Pair with
@@ -112,7 +98,7 @@ func (r *Recorder) BeginSpan(track, name, detail string) {
 	if !r.SpansEnabled() {
 		return
 	}
-	r.emitSpan(SpanEvent{Phase: PhaseBegin, At: r.now(), Track: track, Name: name, Detail: detail})
+	r.spans.Push(SpanEvent{Phase: PhaseBegin, At: r.now(), Track: track, Name: name, Detail: detail})
 }
 
 // EndSpan closes the innermost open synchronous span on a track ('E').
@@ -120,7 +106,7 @@ func (r *Recorder) EndSpan(track, name string) {
 	if !r.SpansEnabled() {
 		return
 	}
-	r.emitSpan(SpanEvent{Phase: PhaseEnd, At: r.now(), Track: track, Name: name})
+	r.spans.Push(SpanEvent{Phase: PhaseEnd, At: r.now(), Track: track, Name: name})
 }
 
 // BeginAsync opens a long-lived async span and returns the id EndAsync
@@ -142,7 +128,7 @@ func (r *Recorder) BeginAsyncID(track, name, detail string, id uint64) {
 	if !r.SpansEnabled() {
 		return
 	}
-	r.emitSpan(SpanEvent{Phase: PhaseAsyncBegin, At: r.now(), Track: track, Name: name, ID: id, Detail: detail})
+	r.spans.Push(SpanEvent{Phase: PhaseAsyncBegin, At: r.now(), Track: track, Name: name, ID: id, Detail: detail})
 }
 
 // EndAsync closes the async span opened under id on the given track.
@@ -150,7 +136,7 @@ func (r *Recorder) EndAsync(track, name string, id uint64) {
 	if !r.SpansEnabled() {
 		return
 	}
-	r.emitSpan(SpanEvent{Phase: PhaseAsyncEnd, At: r.now(), Track: track, Name: name, ID: id})
+	r.spans.Push(SpanEvent{Phase: PhaseAsyncEnd, At: r.now(), Track: track, Name: name, ID: id})
 }
 
 // InstantSpan records a point marker on a track ('i').
@@ -158,20 +144,16 @@ func (r *Recorder) InstantSpan(track, name, detail string) {
 	if !r.SpansEnabled() {
 		return
 	}
-	r.emitSpan(SpanEvent{Phase: PhaseInstant, At: r.now(), Track: track, Name: name, Detail: detail})
+	r.spans.Push(SpanEvent{Phase: PhaseInstant, At: r.now(), Track: track, Name: name, Detail: detail})
 }
 
 // Spans returns the retained span events in emission order (oldest
 // surviving first).
 func (r *Recorder) Spans() []SpanEvent {
-	if r == nil || len(r.spans) == 0 {
+	if r == nil {
 		return nil
 	}
-	out := make([]SpanEvent, 0, len(r.spans))
-	for i := 0; i < len(r.spans); i++ {
-		out = append(out, r.spans[(r.spanStart+i)%len(r.spans)])
-	}
-	return out
+	return r.spans.Items()
 }
 
 // SpansDropped returns how many span events the bounded store evicted.
@@ -179,7 +161,7 @@ func (r *Recorder) SpansDropped() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.spansDropped
+	return r.spans.Dropped()
 }
 
 // chromeEvent is one trace_event record on the wire.

@@ -16,6 +16,8 @@ import (
 	"runtime"
 	"sort"
 	"time"
+
+	"mvedsua/internal/bounded"
 )
 
 // State describes where a task is in its lifecycle.
@@ -100,14 +102,11 @@ type Scheduler struct {
 	profiler SliceProfiler
 	segStart time.Duration
 
-	crashes      []CrashInfo
-	tracing      bool
-	trace        []string
-	traceCap     int
-	traceStart   int   // oldest slot once the trace wrapped
-	traceDropped int64 // trace lines evicted from the circular tail
-	blocked      map[*Task]struct{}
-	dispatches   int64
+	crashes    []CrashInfo
+	tracing    bool
+	trace      bounded.Tail[string]
+	blocked    map[*Task]struct{}
+	dispatches int64
 }
 
 // DefaultTraceCap bounds the scheduling trace unless SetTraceCapacity
@@ -143,8 +142,8 @@ func (s *Scheduler) Dispatches() int64 { return s.dispatches }
 // TraceDropped to detect truncation.
 func (s *Scheduler) SetTracing(on bool) {
 	s.tracing = on
-	if s.traceCap <= 0 {
-		s.traceCap = DefaultTraceCap
+	if s.trace.Limit() <= 0 {
+		s.trace = bounded.NewTail[string](DefaultTraceCap)
 	}
 }
 
@@ -155,27 +154,15 @@ func (s *Scheduler) SetTraceCapacity(n int) {
 	if n <= 0 {
 		n = DefaultTraceCap
 	}
-	s.traceCap = n
-	s.trace = nil
-	s.traceStart = 0
-	s.traceDropped = 0
+	s.trace = bounded.NewTail[string](n)
 }
 
 // Trace returns the recorded scheduling trace, oldest surviving entry
 // first.
-func (s *Scheduler) Trace() []string {
-	if len(s.trace) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(s.trace))
-	for i := 0; i < len(s.trace); i++ {
-		out = append(out, s.trace[(s.traceStart+i)%len(s.trace)])
-	}
-	return out
-}
+func (s *Scheduler) Trace() []string { return s.trace.Items() }
 
 // TraceDropped returns how many trace entries the bounded store evicted.
-func (s *Scheduler) TraceDropped() int64 { return s.traceDropped }
+func (s *Scheduler) TraceDropped() int64 { return s.trace.Dropped() }
 
 // Go creates and starts a new task running fn. The task is appended to the
 // run queue; it first executes when the scheduler reaches it. Go may be
@@ -317,14 +304,7 @@ func (s *Scheduler) dispatch(t *Task) {
 	s.current = t
 	t.state = StateRunning
 	if s.tracing {
-		line := fmt.Sprintf("%d:%s", s.clock/time.Microsecond, t.name)
-		if len(s.trace) < s.traceCap {
-			s.trace = append(s.trace, line)
-		} else {
-			s.trace[s.traceStart] = line
-			s.traceStart = (s.traceStart + 1) % s.traceCap
-			s.traceDropped++
-		}
+		s.trace.Push(fmt.Sprintf("%d:%s", s.clock/time.Microsecond, t.name))
 	}
 	sliceStart := s.clock
 	if s.profiler != nil {

@@ -52,8 +52,8 @@ func TestTraceCapCircularTail(t *testing.T) {
 func TestTraceDefaultCapBounded(t *testing.T) {
 	s := New()
 	s.SetTracing(true)
-	if s.traceCap != DefaultTraceCap {
-		t.Fatalf("traceCap = %d after SetTracing, want DefaultTraceCap %d", s.traceCap, DefaultTraceCap)
+	if s.trace.Limit() != DefaultTraceCap {
+		t.Fatalf("trace limit = %d after SetTracing, want DefaultTraceCap %d", s.trace.Limit(), DefaultTraceCap)
 	}
 }
 
